@@ -4,8 +4,8 @@
 // of the original graph with exact weight accounting.
 //
 // Four rules run to a fixpoint over a worklist, all operating directly on
-// the immutable CSR graph with flat per-vertex state (alive mask, residual
-// degrees) — no mutable graph copy is ever built:
+// the immutable CSR graph with flat per-vertex state (a flags byte, residual
+// degrees, a pivot stamp) — no mutable graph copy is ever built:
 //
 //   - isolated: a vertex with no uncovered incident edge is never needed.
 //   - pendant (weighted degree-1): a degree-1 vertex u with neighbor v and
@@ -24,6 +24,7 @@ package reduce
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -140,20 +141,78 @@ type Result struct {
 // reads g. The context is polled throughout, so cancellation aborts a
 // long reduction promptly.
 func Run(ctx context.Context, g *graph.Graph) (*Result, error) {
-	n := g.NumVertices()
-	st := Stats{
-		OriginalVertices: n,
-		OriginalEdges:    g.NumEdges(),
-	}
-	r := &reducer{g: g, ctx: ctx, st: &st}
+	r := newReducer(ctx, g)
 	if err := r.fixpoint(); err != nil {
 		return nil, err
 	}
+	return r.result()
+}
+
+// Per-vertex state bits of the reducer, packed into one byte per vertex.
+const (
+	flagAlive   uint8 = 1 << iota // still in the residual instance
+	flagInCover                   // forced into the cover
+	flagQueued                    // on the worklist
+	flagDirty                     // residual neighborhood shrank since the last domination check
+)
+
+// reducer is the mutable fixpoint state over one immutable graph.
+type reducer struct {
+	g   *graph.Graph
+	ctx context.Context
+	st  Stats
+
+	flags   []uint8 // flagAlive | flagInCover | flagQueued | flagDirty
+	deg     []int32 // residual degree: number of alive neighbors
+	forcedW float64
+
+	// queue is a FIFO ring over n slots; flagQueued keeps every vertex on
+	// it at most once, so it never overflows.
+	queue        []graph.Vertex
+	qHead, qSize int
+
+	// stamp[x] == epoch marks x as the current pivot or one of its
+	// neighbors (see dominator); epoch 0 is never current.
+	stamp []int32
+	epoch int32
+
+	polls uint
+}
+
+// newReducer sets up the fixpoint state with every vertex alive, queued
+// and dirty.
+func newReducer(ctx context.Context, g *graph.Graph) *reducer {
+	n := g.NumVertices()
+	r := &reducer{
+		g:     g,
+		ctx:   ctx,
+		st:    Stats{OriginalVertices: n, OriginalEdges: g.NumEdges()},
+		flags: make([]uint8, n),
+		deg:   make([]int32, n),
+		queue: make([]graph.Vertex, n),
+		qSize: n,
+		stamp: make([]int32, n),
+	}
+	for v := 0; v < n; v++ {
+		r.flags[v] = flagAlive | flagQueued | flagDirty
+		r.deg[v] = int32(g.Degree(graph.Vertex(v)))
+		r.queue[v] = graph.Vertex(v)
+	}
+	return r
+}
+
+func (r *reducer) alive(v graph.Vertex) bool { return r.flags[v]&flagAlive != 0 }
+
+// result assembles the kernel from the fixpoint state: the input itself
+// when nothing was removed, otherwise the subgraph induced by the alive
+// vertices plus the trace that lifts its covers back.
+func (r *reducer) result() (*Result, error) {
+	g, n, st := r.g, r.g.NumVertices(), r.st
 	st.ForcedWeight = r.forcedW
 
 	removed := 0
 	for v := 0; v < n; v++ {
-		if !r.alive[v] {
+		if !r.alive(graph.Vertex(v)) {
 			removed++
 		}
 	}
@@ -166,10 +225,10 @@ func Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	aliveList := make([]graph.Vertex, 0, n-removed)
 	var forced []graph.Vertex
 	for v := 0; v < n; v++ {
-		switch {
-		case r.alive[v]:
+		switch f := r.flags[v]; {
+		case f&flagAlive != 0:
 			aliveList = append(aliveList, graph.Vertex(v))
-		case r.inCover[v]:
+		case f&flagInCover != 0:
 			forced = append(forced, graph.Vertex(v))
 		}
 	}
@@ -183,49 +242,56 @@ func Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	return &Result{Kernel: kernel, Trace: tr, Stats: st}, nil
 }
 
-// reducer is the mutable fixpoint state over one immutable graph.
-type reducer struct {
-	g   *graph.Graph
-	ctx context.Context
-	st  *Stats
+// pollEvery is the poll cadence (a power of two): poll checks the context
+// on every pollEvery-th call so the rule loops stay cheap.
+const pollEvery = 4096
 
-	alive   []bool // vertex still in the residual instance
-	inCover []bool // vertex forced into the cover
-	deg     []int32
-	forcedW float64
-
-	queue   []graph.Vertex
-	inQueue []bool
-	polls   uint
-}
-
-// poll checks the context every 4096th call so the rule loops stay cheap.
+// poll checks the context every pollEvery-th call.
 func (r *reducer) poll() error {
 	r.polls++
-	if r.polls&0xFFF == 0 {
+	if r.polls&(pollEvery-1) == 0 {
 		return r.ctx.Err()
 	}
 	return nil
 }
 
 func (r *reducer) push(v graph.Vertex) {
-	if r.alive[v] && !r.inQueue[v] {
-		r.inQueue[v] = true
-		r.queue = append(r.queue, v)
+	if r.flags[v]&(flagAlive|flagQueued) == flagAlive {
+		r.flags[v] |= flagQueued
+		i := r.qHead + r.qSize
+		if i >= len(r.queue) {
+			i -= len(r.queue)
+		}
+		r.queue[i] = v
+		r.qSize++
 	}
+}
+
+// pop dequeues the oldest worklist entry; the caller checks qSize > 0.
+func (r *reducer) pop() graph.Vertex {
+	v := r.queue[r.qHead]
+	r.qHead++
+	if r.qHead == len(r.queue) {
+		r.qHead = 0
+	}
+	r.qSize--
+	r.flags[v] &^= flagQueued
+	return v
 }
 
 // force commits u to the cover and removes it from the residual instance;
 // its uncovered incident edges disappear, so every alive neighbor loses a
-// degree and re-enters the worklist.
+// degree, re-enters the worklist and is marked dirty for the next
+// domination sweep. This is the only place an alive vertex loses a
+// neighbor: the rules drop a vertex only once it has no alive neighbors.
 func (r *reducer) force(u graph.Vertex) {
-	r.alive[u] = false
-	r.inCover[u] = true
+	r.flags[u] = r.flags[u]&^flagAlive | flagInCover
 	r.st.ForcedVertices++
 	r.forcedW += r.g.Weight(u)
 	for _, x := range r.g.Neighbors(u) {
-		if r.alive[x] {
+		if r.alive(x) {
 			r.deg[x]--
+			r.flags[x] |= flagDirty
 			r.push(x)
 		}
 	}
@@ -235,18 +301,6 @@ func (r *reducer) force(u graph.Vertex) {
 // neighborhood weight) with domination sweeps until neither changes
 // anything.
 func (r *reducer) fixpoint() error {
-	n := r.g.NumVertices()
-	r.alive = make([]bool, n)
-	r.inCover = make([]bool, n)
-	r.inQueue = make([]bool, n)
-	r.deg = make([]int32, n)
-	r.queue = make([]graph.Vertex, 0, n)
-	for v := 0; v < n; v++ {
-		r.alive[v] = true
-		r.inQueue[v] = true
-		r.deg[v] = int32(r.g.Degree(graph.Vertex(v)))
-		r.queue = append(r.queue, graph.Vertex(v))
-	}
 	for {
 		if err := r.drain(); err != nil {
 			return err
@@ -263,11 +317,9 @@ func (r *reducer) fixpoint() error {
 
 // drain runs the worklist rules to exhaustion.
 func (r *reducer) drain() error {
-	for len(r.queue) > 0 {
-		v := r.queue[0]
-		r.queue = r.queue[1:]
-		r.inQueue[v] = false
-		if !r.alive[v] {
+	for r.qSize > 0 {
+		v := r.pop()
+		if !r.alive(v) {
 			continue
 		}
 		if err := r.poll(); err != nil {
@@ -277,7 +329,7 @@ func (r *reducer) drain() error {
 		case r.deg[v] == 0:
 			// Isolated: every incident edge already has a forced endpoint
 			// (or never existed), so v is never needed.
-			r.alive[v] = false
+			r.flags[v] &^= flagAlive
 			r.st.Isolated++
 		case r.deg[v] == 1:
 			u := r.soleAliveNeighbor(v)
@@ -285,13 +337,13 @@ func (r *reducer) drain() error {
 				// Pendant: covering the single edge (v, u) from the u side
 				// costs no more and covers at least as much.
 				r.force(u)
-				r.alive[v] = false
+				r.flags[v] &^= flagAlive
 				r.st.Pendant++
 			}
 		default:
 			s := 0.0
 			for _, u := range r.g.Neighbors(v) {
-				if r.alive[u] {
+				if r.alive(u) {
 					s += r.g.Weight(u)
 				}
 			}
@@ -299,11 +351,11 @@ func (r *reducer) drain() error {
 				// Neighborhood weight: swapping v for all of N(v) in any
 				// cover never costs more, so N(v) is forced and v dropped.
 				for _, u := range r.g.Neighbors(v) {
-					if r.alive[u] {
+					if r.alive(u) {
 						r.force(u)
 					}
 				}
-				r.alive[v] = false
+				r.flags[v] &^= flagAlive
 				r.st.NeighborhoodWeight++
 			}
 		}
@@ -315,40 +367,93 @@ func (r *reducer) drain() error {
 // degree-1 vertex.
 func (r *reducer) soleAliveNeighbor(v graph.Vertex) graph.Vertex {
 	for _, u := range r.g.Neighbors(v) {
-		if r.alive[u] {
+		if r.alive(u) {
 			return u
 		}
 	}
 	panic("reduce: residual degree-1 vertex has no alive neighbor")
 }
 
-// dominationSweep scans every alive vertex v for an alive neighbor u with
-// w(u) ≤ w(v) whose closed residual neighborhood contains v's — then some
-// optimal cover contains u, and u is forced. Returns whether anything
-// changed (follow-up cheap rules are queued by force itself).
+// dominationSweep visits every alive dirty vertex v in ascending id order,
+// clears its dirty bit, and forces the first dominator dominator(v) finds.
+// A vertex that is not dirty has the same residual neighborhood as when a
+// sweep last found no dominator for it, so it still has none (DESIGN.md
+// §"Kernelization"). Returns whether anything changed (follow-up cheap
+// rules are queued by force itself).
 func (r *reducer) dominationSweep() (bool, error) {
 	changed := false
-	for v := 0; v < r.g.NumVertices(); v++ {
-		if !r.alive[v] {
+	for v := 0; v < len(r.flags); v++ {
+		if r.flags[v]&(flagAlive|flagDirty) != flagAlive|flagDirty {
 			continue
 		}
+		r.flags[v] &^= flagDirty
 		if err := r.poll(); err != nil {
 			return false, err
 		}
-		wv := r.g.Weight(graph.Vertex(v))
-		for _, u := range r.g.Neighbors(graph.Vertex(v)) {
-			if !r.alive[u] || r.g.Weight(u) > wv {
-				continue
-			}
-			if r.dominates(u, graph.Vertex(v)) {
-				r.force(u)
-				r.st.Domination++
-				changed = true
-				break // v's residual degree changed; the worklist revisits it
-			}
+		if u, ok := r.dominator(graph.Vertex(v)); ok {
+			r.force(u) // re-dirties v: it just lost u
+			r.st.Domination++
+			changed = true
 		}
 	}
 	return changed, nil
+}
+
+// dominator returns the first alive neighbor u of v, in adjacency order,
+// with w(u) ≤ w(v) and N_res[v] ⊆ N_res[u] — then some optimal cover
+// contains u. Two exact filters reject most candidates before the full
+// dominates check: N_res[v] ⊆ N_res[u] needs deg(v) ≤ deg(u), and every
+// dominator is the pivot p (v's alive neighbor of least residual degree)
+// or adjacent to it, so candidates outside N[p] cannot dominate. N[p] is
+// stamped only once some candidate passes the degree bound.
+func (r *reducer) dominator(v graph.Vertex) (graph.Vertex, bool) {
+	flags, deg, w := r.flags, r.deg, r.g.Weights()
+	wv, dv := w[v], deg[v]
+	epoch := int32(0)
+	for _, u := range r.g.Neighbors(v) {
+		if flags[u]&flagAlive == 0 || w[u] > wv || deg[u] < dv {
+			continue
+		}
+		if epoch == 0 {
+			epoch = r.stampPivot(v)
+		}
+		if r.stamp[u] == epoch && r.dominates(u, v) {
+			return u, true
+		}
+	}
+	return 0, false
+}
+
+// stampPivot stamps N[p] for the alive neighbor p of v with the least
+// residual degree (the first such in adjacency order) and returns the
+// stamp's epoch. v must have an alive neighbor.
+func (r *reducer) stampPivot(v graph.Vertex) int32 {
+	flags, deg := r.flags, r.deg
+	p, best := graph.Vertex(-1), int32(math.MaxInt32)
+	for _, x := range r.g.Neighbors(v) {
+		if flags[x]&flagAlive != 0 && deg[x] < best {
+			p, best = x, deg[x]
+		}
+	}
+	e := r.nextEpoch()
+	stamp := r.stamp
+	stamp[p] = e
+	for _, x := range r.g.Neighbors(p) {
+		stamp[x] = e
+	}
+	return e
+}
+
+// nextEpoch advances the stamp epoch. When the int32 epoch would wrap, the
+// stamp array is cleared and the epochs restart from 1, so a stale stamp
+// can never equal the current epoch.
+func (r *reducer) nextEpoch() int32 {
+	if r.epoch == math.MaxInt32 {
+		clear(r.stamp)
+		r.epoch = 0
+	}
+	r.epoch++
+	return r.epoch
 }
 
 // dominates reports whether every alive neighbor of v other than u is also
@@ -357,7 +462,7 @@ func (r *reducer) dominationSweep() (bool, error) {
 // vertices is by definition still uncovered.
 func (r *reducer) dominates(u, v graph.Vertex) bool {
 	for _, x := range r.g.Neighbors(v) {
-		if x == u || !r.alive[x] {
+		if x == u || !r.alive(x) {
 			continue
 		}
 		if !r.g.HasEdge(u, x) {
