@@ -226,9 +226,10 @@ func traceEvent(e mwvc.Event) {
 
 func loadGraph(inFile, generator string, n int, d float64, weights string, seed uint64) (*graph.Graph, error) {
 	if inFile != "" {
-		// Two-pass streaming ingestion: the file is scanned twice and the CSR
-		// arrays are filled in place, so -in handles million-edge instances
-		// without an edge-list buffer.
+		// Chunked two-pass ingestion: the file is scanned twice, in
+		// line-aligned chunks read in parallel, and the CSR arrays are
+		// filled in place, so -in handles million-edge instances without
+		// an edge-list buffer.
 		return graph.OpenFile(inFile)
 	}
 	return cli.BuildGraph(generator, n, d, weights, seed)

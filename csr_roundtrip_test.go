@@ -37,7 +37,7 @@ func TestCSRRoundTripBitIdenticalSolutions(t *testing.T) {
 			if err := graph.WriteEdgeList(&buf, inst.g); err != nil {
 				t.Fatal(err)
 			}
-			streamed, err := graph.ReadStream(bytes.NewReader(buf.Bytes()))
+			streamed, err := graph.ReadStream(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func TestStreamInstanceMatchesBuildGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.generator, err)
 		}
-		streamed, err := graph.ReadStream(bytes.NewReader(buf.Bytes()))
+		streamed, err := graph.ReadStream(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("%s: reading streamed output: %v", c.generator, err)
 		}

@@ -77,14 +77,14 @@ func (b *CSRBuilder) SetWeights(w []float64) *CSRBuilder {
 	return b
 }
 
-func (b *CSRBuilder) checkEndpoints(u, v Vertex) error {
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) has endpoint out of range [0,%d)", u, v, b.n)
-	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop at vertex %d", u)
-	}
-	return nil
+// errEdgeCap rejects inputs with more edge records than int32 edge ids
+// can number.
+var errEdgeCap = fmt.Errorf("graph: edge count exceeds %d", math.MaxInt32)
+
+// passExcessError reports a second pass that found more edges at v than the
+// first pass counted.
+func passExcessError(v Vertex) error {
+	return fmt.Errorf("graph: pass 2 has more edges at vertex %d than pass 1 counted", v)
 }
 
 // CountEdge records one edge of the first pass. Endpoint order is
@@ -93,11 +93,11 @@ func (b *CSRBuilder) CountEdge(u, v Vertex) error {
 	if b.state != csrCounting {
 		return errors.New("graph: CountEdge after EndCount")
 	}
-	if err := b.checkEndpoints(u, v); err != nil {
+	if err := checkEdge(u, v, b.n); err != nil {
 		return err
 	}
 	if b.counted >= math.MaxInt32 {
-		return fmt.Errorf("graph: edge count exceeds %d", math.MaxInt32)
+		return errEdgeCap
 	}
 	b.deg[u]++
 	b.deg[v]++
@@ -136,16 +136,16 @@ func (b *CSRBuilder) AddEdge(u, v Vertex) error {
 		}
 		return errors.New("graph: AddEdge after Build")
 	}
-	if err := b.checkEndpoints(u, v); err != nil {
+	if err := checkEdge(u, v, b.n); err != nil {
 		return err
 	}
 	cu := b.deg[u]
 	if cu >= b.offsets[u+1] {
-		return fmt.Errorf("graph: pass 2 has more edges at vertex %d than pass 1 counted", u)
+		return passExcessError(u)
 	}
 	cv := b.deg[v]
 	if cv >= b.offsets[v+1] {
-		return fmt.Errorf("graph: pass 2 has more edges at vertex %d than pass 1 counted", v)
+		return passExcessError(v)
 	}
 	b.neighbors[cu] = v
 	b.deg[u] = cu + 1

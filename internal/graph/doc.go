@@ -24,9 +24,17 @@
 //   - CSRBuilder is the bounded-memory streaming path: the caller streams
 //     the edge list twice (CountEdge… EndCount, then AddEdge…), and the
 //     builder assembles the CSR arrays in place — no edge-list buffer, no
-//     comparison sort over m edges. ReadStream builds graphs from seekable
-//     files this way, and deterministic generators replay their edge
-//     stream for the two passes with no buffering at all.
+//     comparison sort over m edges. Deterministic generators replay their
+//     edge stream for the two passes with no buffering at all.
+//
+// ReadStream (and OpenFile) fills a CSRBuilder's arrays from a file in the
+// same two passes, run in parallel: the body is cut at line boundaries
+// into up to GOMAXPROCS chunks of at least 1 MiB, each read through its
+// own fixed window; pass 1 counts degrees per chunk, a prefix sum over
+// (vertex, chunk) gives each chunk its own run of slots in every row, and
+// pass 2 fills the runs. Rows are sorted at Build, so the graph does not
+// depend on the chunking. Read, for streams that cannot be read twice,
+// shares the same record parser.
 //
 // # Serialization
 //

@@ -49,8 +49,10 @@ func declaredVertexCount(data []byte) (n int64, ok bool) {
 }
 
 // FuzzReadGraph feeds arbitrary bytes through both parse paths (the
-// buffering Read and the two-pass ReadStream) and pins two properties:
-// parsing never panics, and any accepted graph round-trips through
+// buffering Read and the chunked two-pass ReadStream, also at 3 and 7
+// forced chunks) and pins three properties: parsing never panics, all
+// paths accept the same inputs and build them with the same weight bits
+// and edge ids, and any accepted graph round-trips through
 // WriteEdgeList→ReadStream bit-identically — same serialized bytes, same
 // weight bit patterns, same edge-id order.
 func FuzzReadGraph(f *testing.F) {
@@ -64,12 +66,23 @@ func FuzzReadGraph(f *testing.F) {
 			t.Skip("vertex-count claim unbounded or over the harness cap")
 		}
 		g, err := graph.Read(bytes.NewReader(data))
-		gs, errS := graph.ReadStream(bytes.NewReader(data))
+		gs, errS := graph.ReadStream(bytes.NewReader(data), int64(len(data)))
 		if (err == nil) != (errS == nil) {
 			t.Fatalf("Read err=%v but ReadStream err=%v on the same input", err, errS)
 		}
+		// The chunked reader must agree at any chunk count, wherever the
+		// chunk boundaries fall.
+		for _, p := range []int{3, 7} {
+			gc, errC := graph.ReadChunked(bytes.NewReader(data), int64(len(data)), p)
+			if (err == nil) != (errC == nil) {
+				t.Fatalf("Read err=%v but %d chunks err=%v on the same input", err, p, errC)
+			}
+			if err == nil {
+				assertSameBits(t, g, gc)
+			}
+		}
 		if err != nil {
-			return // rejected cleanly by both paths
+			return // rejected cleanly by every path
 		}
 
 		// Round-trip: serialize, re-ingest through the streaming path, and
@@ -78,7 +91,7 @@ func FuzzReadGraph(f *testing.F) {
 		if err := graph.WriteEdgeList(&first, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := graph.ReadStream(bytes.NewReader(first.Bytes()))
+		g2, err := graph.ReadStream(bytes.NewReader(first.Bytes()), int64(first.Len()))
 		if err != nil {
 			t.Fatalf("re-reading serialized accepted graph: %v", err)
 		}
@@ -99,14 +112,29 @@ func FuzzReadGraph(f *testing.F) {
 				t.Fatalf("round-trip changed weight of %d: %v → %v", v, a, b)
 			}
 		}
-		ea, eb := g.EdgeEndpoints(), gs.EdgeEndpoints()
-		if len(ea) != len(eb) {
-			t.Fatalf("Read and ReadStream disagree on edge count: %d vs %d", len(ea)/2, len(eb)/2)
-		}
-		for i := range ea {
-			if ea[i] != eb[i] {
-				t.Fatalf("Read and ReadStream disagree at endpoint slot %d", i)
-			}
-		}
+		assertSameBits(t, g, gs)
 	})
+}
+
+// assertSameBits fails unless a and b have the same weight bits and the
+// same endpoints under every edge id.
+func assertSameBits(t *testing.T, a, b *graph.Graph) {
+	t.Helper()
+	if a.NumVertices() != b.NumVertices() {
+		t.Fatalf("vertex counts differ: %d vs %d", a.NumVertices(), b.NumVertices())
+	}
+	for v := 0; v < a.NumVertices(); v++ {
+		if math.Float64bits(a.Weight(graph.Vertex(v))) != math.Float64bits(b.Weight(graph.Vertex(v))) {
+			t.Fatalf("weight of %d differs: %v vs %v", v, a.Weight(graph.Vertex(v)), b.Weight(graph.Vertex(v)))
+		}
+	}
+	ea, eb := a.EdgeEndpoints(), b.EdgeEndpoints()
+	if len(ea) != len(eb) {
+		t.Fatalf("edge counts differ: %d vs %d", len(ea)/2, len(eb)/2)
+	}
+	for i := range ea {
+		if ea[i] != eb[i] {
+			t.Fatalf("endpoint slot %d differs: %d vs %d", i, ea[i], eb[i])
+		}
+	}
 }

@@ -122,9 +122,9 @@ func (s *GraphStore) recover() error {
 	return nil
 }
 
-// loadGraphFile reloads one persisted graph through the two-pass streaming
-// reader and recomputes its content hash — the checksum verification that
-// makes a recovered index trustworthy.
+// loadGraphFile reloads one persisted graph through the chunked two-pass
+// file reader (graph.OpenFile) and recomputes its content hash — the
+// checksum verification that makes a recovered index trustworthy.
 func loadGraphFile(path string) (*StoredGraph, error) {
 	if err := fault.Hit(fault.StoreRead); err != nil {
 		return nil, err
