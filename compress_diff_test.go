@@ -141,6 +141,9 @@ func TestCompressDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if native.Rounds != 5*native.Phases+1 {
+				t.Fatalf("%s/%d: native rounds %d, want 5·%d+1", fam.name, seed, native.Rounds, native.Phases)
+			}
 			if want.Rounds >= native.Rounds {
 				t.Fatalf("%s/%d: compressed rounds %d not below native %d", fam.name, seed, want.Rounds, native.Rounds)
 			}

@@ -2,7 +2,6 @@ package compress
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/solver"
@@ -87,22 +86,8 @@ func DefaultParams(epsilon float64, seed uint64) Params {
 		SwitchThreshold:    cp.SwitchThreshold,
 		NumGroups:          cp.NumMachines,
 		MemoryWords:        cp.MemoryWords,
-		LocalRounds:        defaultLocalRounds,
+		LocalRounds:        cp.PhaseIterations,
 	}
-}
-
-// defaultLocalRounds matches the native per-phase iteration formula:
-// max(2, ⌊0.5·ln(groups)/ln(1/(1−ε))⌋). See DefaultParams for why the
-// coefficient must not be raised casually.
-func defaultLocalRounds(groups int, epsilon float64) int {
-	if groups < 2 {
-		return 2
-	}
-	k := int(math.Floor(0.5 * math.Log(float64(groups)) / math.Log(1/(1-epsilon))))
-	if k < 2 {
-		return 2
-	}
-	return k
 }
 
 // PaperParams returns the paper-constant variant (core.ParamsPaper shared

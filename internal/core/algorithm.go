@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/centralized"
 	"repro/internal/graph"
@@ -24,22 +25,24 @@ const (
 
 // Labels for derived randomness. Partition and threshold draws are pure
 // functions of (seed, label, phase, vertex[, iteration]), which is what lets
-// the coupling experiments replay a phase with identical randomness.
+// the coupling experiments replay a phase with identical randomness. The
+// compressed plan's group draws also take the split attempt, so a redraw
+// after a split is a fresh partition.
 const (
 	labelPartition uint64 = 'P'
+	labelGroup     uint64 = 'G'
 	labelThreshold uint64 = 'T'
 )
 
 // noFreeze marks a vertex that stayed active through a local simulation.
 const noFreeze = -1
 
-// machScratch is one simulated machine's reusable working set: the
+// machScratch is a machine step's reusable working set: the
 // per-destination counters and arena-backed message buffers of the scatter
 // and result rounds, the decoded local instance, and the local-simulation
-// arrays. One machScratch per machine id lives for the whole run; messages
-// are staged straight into the machine's outgoing arena (count → Reserve →
-// Alloc → fill), so the per-phase MPC rounds allocate nothing at steady
-// state and only arena growth on the first phase.
+// arrays. Messages are staged straight into the machine's outgoing arena
+// (count → Reserve → Alloc → fill), so the per-phase MPC rounds allocate
+// nothing at steady state and only arena growth on the first phase.
 type machScratch struct {
 	vCnt, eCnt []int32    // per-destination record counts, then write cursors
 	vBuf, eBuf [][]uint64 // per-destination Alloc'd message buffers
@@ -48,26 +51,89 @@ type machScratch struct {
 	sim        SimScratch
 }
 
-// ensure sizes the per-destination arrays for a fleet of `total` machines.
-func (sc *machScratch) ensure(total int) {
-	if sc.vCnt == nil {
-		sc.vCnt = make([]int32, total)
-		sc.eCnt = make([]int32, total)
-		sc.vBuf = make([][]uint64, total)
-		sc.eBuf = make([][]uint64, total)
+// scratchPool lends a machScratch to each running machine step. Nothing in
+// a machScratch outlives the step that uses it, so the pool only ever holds
+// as many as ran at once (at most the cluster's worker count): one per
+// machine would cost O(fleet²) words, since each scratch has an entry per
+// destination machine.
+type scratchPool struct {
+	mu    sync.Mutex
+	free  []*machScratch
+	fleet int
+}
+
+func (sp *scratchPool) get() *machScratch {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if k := len(sp.free); k > 0 {
+		sc := sp.free[k-1]
+		sp.free = sp.free[:k-1]
+		return sc
+	}
+	return &machScratch{
+		vCnt: make([]int32, sp.fleet),
+		eCnt: make([]int32, sp.fleet),
+		vBuf: make([][]uint64, sp.fleet),
+		eBuf: make([][]uint64, sp.fleet),
 	}
 }
 
+func (sp *scratchPool) put(sc *machScratch) {
+	sp.mu.Lock()
+	sp.free = append(sp.free, sc)
+	sp.mu.Unlock()
+}
+
+// roundPlan is the round schedule of a phase: the only thing the native
+// and the round-compressed solvers do differently. Lines 2a–2k and Line 3
+// are shared. The plan is consulted once per phase or per round, never
+// inside a per-edge loop.
+type roundPlan struct {
+	// compressed selects the round-compressed schedule (RunCompressed):
+	// the partition is drawn with labelGroup and a split attempt and split
+	// until it fits gatherWords, the home machines piggyback their degree
+	// counts on the scatter round (machine 0 checks them while it
+	// simulates), and each phase costs 3 accounted rounds instead of 5.
+	compressed bool
+	// gatherWords bounds the vertex and co-located edge records one
+	// partition class may gather into a machine (nil = MemoryWords(n)/2).
+	gatherWords func(n int) int64
+	// maxSplits bounds the group-count doublings before the run gives up.
+	maxSplits int
+}
+
 // Run executes Algorithm 2 on g and returns the cover, the finalized dual
-// weights, and the per-phase measurements. The context is checked between
-// phases, between cluster rounds, and inside the final centralized phase, so
-// a cancellation or deadline ends the solve promptly with ctx.Err().
+// weights, and the per-phase measurements. Each phase costs five accounted
+// cluster rounds: degree aggregate, degree share, scatter, local
+// simulation, collect. The context is checked between phases, between
+// cluster rounds, and inside the final centralized phase, so a
+// cancellation or deadline ends the solve promptly with ctx.Err().
 func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
+	res, _, _, err := run(ctx, g, p, roundPlan{})
+	return res, err
+}
+
+// RunCompressed executes Algorithm 2 on the round-compressed schedule:
+// the same phases as Run at three accounted cluster rounds each (scatter,
+// simulate, collect), plus one solver.KindCompress event per phase. The
+// degree aggregate rides on the scatter round instead of two rounds of
+// its own. Each phase samples V^high into p.NumMachines(d) groups and,
+// while the largest group's records exceed gatherWords(n) words (nil =
+// MemoryWords(n)/2), doubles the group count and redraws, at most
+// maxSplits times; splits counts those redraws. If a phase still does not
+// fit, the run stops and reports fallback with a nil Result, and the
+// caller restarts on the native schedule.
+func RunCompressed(ctx context.Context, g *graph.Graph, p Params, gatherWords func(n int) int64, maxSplits int) (res *Result, splits int, fallback bool, err error) {
+	return run(ctx, g, p, roundPlan{compressed: true, gatherWords: gatherWords, maxSplits: maxSplits})
+}
+
+// run is the phase driver behind Run and RunCompressed.
+func run(ctx context.Context, g *graph.Graph, p Params, plan roundPlan) (*Result, int, bool, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	if g == nil {
-		return nil, errors.New("core: nil graph")
+		return nil, 0, false, errors.New("core: nil graph")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -83,11 +149,13 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		X:     make([]float64, mEdges),
 	}
 	if n == 0 {
-		return res, nil
+		return res, 0, false, nil
 	}
 
 	// Algorithm state. frozenIncident[v] accumulates Σ_{e∋v frozen} x_e so
-	// that w′(v) = w(v) − frozenIncident[v] (Line 2b).
+	// that w′(v) = w(v) − frozenIncident[v] (Line 2b). resDeg and
+	// nonfrozenEdges are Line (2k)'s quantities; every edge freeze updates
+	// them in place, so no phase recounts them.
 	frozen := res.Cover
 	xFinal := res.X
 	edgeFrozen := make([]bool, mEdges)
@@ -95,17 +163,32 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 	resDeg := g.DegreesWithinMaskInto(make([]int, n), nil)
 	nonfrozenEdges := int64(mEdges)
 
-	// Defensive freeze for a vertex whose residual weight has been exhausted
-	// (mathematically prevented by Line 2i; guarded against float drift).
-	// Its remaining nonfrozen edges finalize at 0, like Line 2j.
-	zeroFreeze := func(v graph.Vertex) {
-		frozen[v] = true
+	// freezeEdge finalizes a nonfrozen edge at weight x.
+	freezeEdge := func(e int, x float64) {
+		edgeFrozen[e] = true
+		xFinal[e] = x
+		resDeg[epFlat[2*e]]--
+		resDeg[epFlat[2*e+1]]--
+		nonfrozenEdges--
+	}
+	// Line (2j) for one frozen vertex: its remaining nonfrozen edges
+	// finalize at 0. The maintained residual degree skips the adjacency
+	// walk when nothing is left to freeze.
+	freezeRest := func(v graph.Vertex) {
+		if resDeg[v] == 0 {
+			return
+		}
 		for _, e := range g.IncidentEdges(v) {
 			if !edgeFrozen[e] {
-				edgeFrozen[e] = true
-				xFinal[e] = 0
+				freezeEdge(int(e), 0)
 			}
 		}
+	}
+	// Defensive freeze for a vertex whose residual weight has been exhausted
+	// (mathematically prevented by Line 2i; guarded against float drift).
+	zeroFreeze := func(v graph.Vertex) {
+		frozen[v] = true
+		freezeRest(v)
 	}
 
 	// Cluster sizing: the simulation uses m = √d machines per phase, but the
@@ -114,7 +197,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 	memWords := p.MemoryWords(n)
 	maxEdgesPerHome := memWords / (4 * mpc.EdgeRecordWords)
 	if maxEdgesPerHome < 1 {
-		return nil, fmt.Errorf("core: machine memory %d words cannot hold any edges", memWords)
+		return nil, 0, false, fmt.Errorf("core: machine memory %d words cannot hold any edges", memWords)
 	}
 	d0 := 2 * float64(nonfrozenEdges) / float64(n)
 	mTotal := p.NumMachines(d0)
@@ -130,7 +213,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 	// requirement when S² < 96·|E|, which Õ(n) memory always avoids.
 	if maxFleet := int(memWords / 8); mTotal > maxFleet {
 		if need := int((int64(mEdges) + maxEdgesPerHome - 1) / maxEdgesPerHome); need > maxFleet {
-			return nil, fmt.Errorf("core: memory %d words per machine cannot host both the input (%d machines needed) and the aggregation fan-in (max %d)", memWords, need, maxFleet)
+			return nil, 0, false, fmt.Errorf("core: memory %d words per machine cannot host both the input (%d machines needed) and the aggregation fan-in (max %d)", memWords, need, maxFleet)
 		}
 		mTotal = maxFleet
 	}
@@ -140,13 +223,22 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		Parallelism: p.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	defer cluster.Close()
 
 	maxPhases := p.MaxPhases
 	if maxPhases == 0 {
 		maxPhases = 64
+	}
+	// The native plan gathers whatever the partition produces; only the
+	// compressed plan prices its groups against a budget.
+	gatherBudget := int64(math.MaxInt64)
+	if plan.compressed {
+		gatherBudget = memWords / 2
+		if plan.gatherWords != nil {
+			gatherBudget = plan.gatherWords(n)
+		}
 	}
 
 	// Observability: dualSum accumulates Σ x_e over finalized edges (the raw
@@ -179,8 +271,8 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 	// backing allocations (one per element type).
 	f64Scratch := make([]float64, 2*n)
 	wres, yMPC := f64Scratch[:n:n], f64Scratch[n:]
-	i32Scratch := make([]int32, 4*n)
-	highIndex, machineOf, freezeIterShared, localIdx := i32Scratch[:n:n], i32Scratch[n:2*n:2*n], i32Scratch[2*n:3*n:3*n], i32Scratch[3*n:]
+	i32Scratch := make([]int32, 3*n)
+	machineOf, freezeIterShared, localIdx := i32Scratch[:n:n], i32Scratch[n:2*n:2*n], i32Scratch[2*n:]
 	for v := range localIdx {
 		localIdx[v] = -1
 	}
@@ -190,12 +282,13 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 	var highEdges []int32
 	var pow []float64
 	var newlyFrozen []graph.Vertex
+	machineWords := make([]int64, mTotal)
 	localEdgeCount := make([]int64, mTotal)
 
-	// Per-machine communication and simulation scratch, reused across all
-	// phases and rounds so the steady-state message plane allocates nothing:
-	// staging buffers grow once, then recycle.
-	scratch := make([]machScratch, mTotal)
+	// Communication and simulation scratch, reused across all phases and
+	// rounds so the steady-state message plane allocates nothing: staging
+	// buffers grow once, then recycle.
+	scratch := &scratchPool{fleet: mTotal}
 	// localIdx (carved from i32Scratch above) maps a global vertex id to its
 	// index on the simulation machine that owns it this phase (-1 otherwise).
 	// The partition assigns each vertex to exactly one machine and the
@@ -205,11 +298,13 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 
 	phase := 0
 	stalls := 0
+	splits := 0
 	for ; ; phase++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
 		curPhase = phase
+		edgesBefore := nonfrozenEdges
 		d := 2 * float64(nonfrozenEdges) / float64(n)
 		if d <= p.SwitchThreshold(n) {
 			break
@@ -224,7 +319,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			break
 		}
 		if phase >= maxPhases {
-			return nil, fmt.Errorf("core: no convergence after %d phases (d=%.1f)", phase, d)
+			return nil, 0, false, fmt.Errorf("core: no convergence after %d phases (d=%.1f)", phase, d)
 		}
 
 		// Lines (2a)/(2b): classify nonfrozen vertices and compute residual
@@ -253,7 +348,6 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			if float64(resDeg[v]) >= dGamma {
 				high[v] = true
 				wres[v] = w
-				highIndex[v] = int32(len(highList))
 				highList = append(highList, graph.Vertex(v))
 			} else {
 				numInactive++
@@ -266,28 +360,18 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			break
 		}
 
-		// Line (2e): machines and iterations for this phase.
-		mMach := p.NumMachines(d)
-		if mMach < 1 {
-			mMach = 1
+		// Lines (2e)/(2f): m = √d simulation machines, and the partition of
+		// V^high over them, priced by the vertex records each machine will
+		// gather. The co-located edge records are priced in the Line (2c)
+		// pass below, so pricing costs no extra walk over the edge array.
+		machines := p.NumMachines(d)
+		if machines < 1 {
+			machines = 1
 		}
-		if mMach > mTotal {
-			mMach = mTotal
+		if machines > mTotal {
+			machines = mTotal
 		}
-		iters := p.PhaseIterations(mMach, eps)
-		if iters < 1 {
-			iters = 1
-		}
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindPhaseStart,
-			Phase:       phase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-			Degree:      d,
-			Machines:    mMach,
-			Iterations:  iters,
-		})
+		plan.partition(p.Seed, phase, 0, machines, highList, machineOf, machineWords)
 
 		// Line (2c): initial duals on E[V^high] (degree-aware, or the
 		// uniform-init ablation).
@@ -314,10 +398,54 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			} else {
 				xPhase[e] = math.Min(wres[u]/float64(resDeg[u]), wres[v]/float64(resDeg[v]))
 			}
+			if machineOf[u] == machineOf[v] {
+				machineWords[machineOf[u]] += mpc.EdgeRecordWords
+			}
 		}
 
-		// Line (2d): thresholds are a pure function of (seed, phase, v, t);
-		// Line (2f): so is the partition.
+		// Memory precheck: while the largest partition class would not fit
+		// the gather budget (by default half the per-machine memory; the
+		// rest is headroom for message framing, the degree fan-in and result
+		// staging), double the machine count and redraw. If that cannot
+		// make it fit, give up before any message is staged.
+		for attempt := 0; ; {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, false, err
+			}
+			if slices.Max(machineWords[:machines]) <= gatherBudget {
+				break
+			}
+			if attempt >= plan.maxSplits || machines >= mTotal {
+				return nil, splits, true, nil
+			}
+			machines = min(2*machines, mTotal)
+			attempt++
+			splits++
+			plan.partition(p.Seed, phase, attempt, machines, highList, machineOf, machineWords)
+			for _, e := range highEdges {
+				u, v := epFlat[2*e], epFlat[2*e+1]
+				if machineOf[u] == machineOf[v] {
+					machineWords[machineOf[u]] += mpc.EdgeRecordWords
+				}
+			}
+		}
+
+		iters := p.PhaseIterations(machines, eps)
+		if iters < 1 {
+			iters = 1
+		}
+		solver.Emit(obs, solver.Event{
+			Kind:        solver.KindPhaseStart,
+			Phase:       phase,
+			Round:       cluster.Metrics().Rounds,
+			ActiveEdges: nonfrozenEdges,
+			DualBound:   dualSum,
+			Degree:      d,
+			Machines:    machines,
+			Iterations:  iters,
+		})
+
+		// Line (2d): thresholds are a pure function of (seed, phase, v, t).
 		lo, hi := 1-4*eps, 1-2*eps
 		threshold := func(v graph.Vertex, t int) float64 {
 			return rng.UniformAt(p.Seed, lo, hi, labelThreshold, uint64(phase), uint64(v), uint64(t))
@@ -325,9 +453,6 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		if p.FixedThresholds {
 			fixed := 1 - 3*eps
 			threshold = func(graph.Vertex, int) float64 { return fixed }
-		}
-		for _, v := range highList {
-			machineOf[v] = int32(rng.ChooseAt(p.Seed, mMach, labelPartition, uint64(phase), uint64(v)))
 		}
 
 		// ---- MPC execution of the phase ----
@@ -338,78 +463,78 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			biasCoeff = 0
 		}
 
-		// Rounds A0/A1 (aggregate + share): the average residual degree is
-		// computed *through the cluster* — each home machine counts its
-		// nonfrozen edges, a single fan-in-M tree level combines the counts
-		// at machine 0 (the [GSZ11] O(1)-round aggregation primitive; see
-		// internal/mpcalg for the general-depth version), and machine 0
-		// shares the result with the fleet. The driver cross-checks the
-		// aggregated value against its own bookkeeping, so the simulated
-		// data path is load-bearing, not decorative.
-		err := step(func(mach *mpc.Machine) error {
-			id := mach.ID()
-			cnt := uint64(0)
-			for e := id; e < mEdges; e += mTotal {
-				if !edgeFrozen[e] {
-					cnt++
+		// The average residual degree is computed *through the cluster*:
+		// each home machine counts its nonfrozen edges and a single fan-in-M
+		// tree level (the [GSZ11] O(1)-round aggregation primitive) sums the
+		// counts at machine 0, which checks them against the driver's own
+		// bookkeeping, so the simulated data path is load-bearing, not
+		// decorative. The native plan spends two rounds on it (A0 aggregate,
+		// A1 share) before the scatter; the compressed plan piggybacks the
+		// counts on the scatter and machine 0 checks them while it
+		// simulates.
+		if !plan.compressed {
+			err := step(func(mach *mpc.Machine) error {
+				id := mach.ID()
+				cnt := uint64(0)
+				for e := id; e < mEdges; e += mTotal {
+					if !edgeFrozen[e] {
+						cnt++
+					}
 				}
+				return mach.Send(0, []uint64{tagScalar, cnt})
+			})
+			if err != nil {
+				return nil, 0, false, fmt.Errorf("core: phase %d degree aggregation: %w", phase, err)
 			}
-			return mach.Send(0, []uint64{tagScalar, cnt})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: phase %d degree aggregation: %w", phase, err)
-		}
-		err = step(func(mach *mpc.Machine) error {
-			if mach.ID() != 0 {
-				return nil
-			}
-			total := uint64(0)
-			for _, msg := range mach.Inbox() {
-				if len(msg.Data) != 2 || msg.Data[0] != tagScalar {
-					return fmt.Errorf("core: malformed degree report from machine %d", msg.From)
+			err = step(func(mach *mpc.Machine) error {
+				if mach.ID() != 0 {
+					return nil
 				}
-				total += msg.Data[1]
-			}
-			if total != uint64(nonfrozenEdges) {
-				return fmt.Errorf("core: aggregated %d nonfrozen edges, driver has %d", total, nonfrozenEdges)
-			}
-			dv := 2 * float64(total) / float64(n)
-			for dst := 0; dst < mTotal; dst++ {
-				if err := mach.Send(dst, []uint64{tagScalar, mpc.PutFloat(dv)}); err != nil {
+				total, err := sumDegreeReports(mach.Inbox(), mTotal, nonfrozenEdges)
+				if err != nil {
 					return err
 				}
+				dv := 2 * float64(total) / float64(n)
+				for dst := 0; dst < mTotal; dst++ {
+					if err := mach.Send(dst, []uint64{tagScalar, mpc.PutFloat(dv)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, 0, false, fmt.Errorf("core: phase %d degree share: %w", phase, err)
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: phase %d degree share: %w", phase, err)
 		}
 
-		// Round A (scatter): home machines verify the shared degree and
-		// route co-located induced edges and vertex records to the owning
-		// simulation machine.
-		err = step(func(mach *mpc.Machine) error {
+		// Scatter: home machines route co-located induced edges and vertex
+		// records to the owning simulation machine (native: after checking
+		// the shared degree; compressed: alongside their degree report).
+		dNow := 2 * float64(nonfrozenEdges) / float64(n)
+		err := step(func(mach *mpc.Machine) error {
 			id := mach.ID()
-			sawScalar := false
-			for _, msg := range mach.Inbox() {
-				if len(msg.Data) == 2 && msg.Data[0] == tagScalar {
-					if got := mpc.GetFloat(msg.Data[1]); math.Abs(got-d) > 1e-9*d {
-						return fmt.Errorf("core: machine %d received d=%v, phase uses %v", id, got, d)
+			if !plan.compressed {
+				sawScalar := false
+				for _, msg := range mach.Inbox() {
+					if len(msg.Data) == 2 && msg.Data[0] == tagScalar {
+						if got := mpc.GetFloat(msg.Data[1]); math.Abs(got-dNow) > 1e-9*dNow {
+							return fmt.Errorf("core: machine %d received d=%v, driver has %v", id, got, dNow)
+						}
+						sawScalar = true
 					}
-					sawScalar = true
+				}
+				if !sawScalar {
+					return fmt.Errorf("core: machine %d missing the shared average degree", id)
 				}
 			}
-			if !sawScalar {
-				return fmt.Errorf("core: machine %d missing the shared average degree", id)
-			}
-			sc := &scratch[id]
-			sc.ensure(mTotal)
+			sc := scratch.get()
+			defer scratch.put(sc)
 			vCnt, eCnt := sc.vCnt, sc.eCnt
 			vBuf, eBuf := sc.vBuf, sc.eBuf
 			// Count records per destination, reserve the total arena volume,
 			// then stage each destination's message in place — no
 			// intermediate buffers, no copies.
-			for dst := 0; dst < mMach; dst++ {
+			for dst := 0; dst < machines; dst++ {
 				vCnt[dst] = 0
 				eCnt[dst] = 0
 			}
@@ -418,11 +543,13 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 					vCnt[machineOf[v]]++
 				}
 			}
+			homeNonfrozen := uint64(0)
 			sc.edgeIDs = sc.edgeIDs[:0]
 			for e := id; e < mEdges; e += mTotal {
 				if edgeFrozen[e] {
 					continue
 				}
+				homeNonfrozen++
 				u, v := epFlat[2*e], epFlat[2*e+1]
 				if high[u] && high[v] && machineOf[u] == machineOf[v] {
 					eCnt[machineOf[u]]++
@@ -430,7 +557,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 				}
 			}
 			total := int64(0)
-			for dst := 0; dst < mMach; dst++ {
+			for dst := 0; dst < machines; dst++ {
 				if vCnt[dst] > 0 {
 					total += 1 + int64(vCnt[dst])*mpc.VertexRecordWords
 				}
@@ -438,8 +565,16 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 					total += 1 + int64(eCnt[dst])*mpc.EdgeRecordWords
 				}
 			}
+			if plan.compressed {
+				total += 2 // the degree report to machine 0
+			}
 			mach.Reserve(total)
-			for dst := 0; dst < mMach; dst++ {
+			if plan.compressed {
+				if err := mach.Send(0, []uint64{tagScalar, homeNonfrozen}); err != nil {
+					return err
+				}
+			}
+			for dst := 0; dst < machines; dst++ {
 				if vCnt[dst] > 0 {
 					buf, err := mach.Alloc(dst, 1+int(vCnt[dst])*mpc.VertexRecordWords)
 					if err != nil {
@@ -476,26 +611,34 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: phase %d scatter: %w", phase, err)
+			return nil, 0, false, fmt.Errorf("core: phase %d scatter: %w", phase, err)
 		}
 
-		// Round B (local simulation): each simulation machine materializes
-		// its induced subgraph (charged against its memory budget — this is
-		// the Lemma 4.1 constraint), runs Lines (2g i–iii), and routes the
-		// freeze results to each vertex's home machine.
+		// Local simulation: each simulation machine materializes its induced
+		// subgraph (charged against its memory budget — this is the Lemma
+		// 4.1 constraint), runs Lines (2g i–iii), and routes the freeze
+		// results to each vertex's home machine.
 		for i := range localEdgeCount {
 			localEdgeCount[i] = 0
 		}
 		err = step(func(mach *mpc.Machine) error {
 			id := mach.ID()
 			inbox := mach.Inbox()
-			if id >= mMach {
-				if len(inbox) != 0 {
-					return fmt.Errorf("core: non-simulation machine %d received %d messages", id, len(inbox))
+			if plan.compressed && id == 0 {
+				if _, err := sumDegreeReports(inbox, mTotal, nonfrozenEdges); err != nil {
+					return err
+				}
+			}
+			if id >= machines {
+				for _, msg := range inbox {
+					if len(msg.Data) == 0 || msg.Data[0] != tagScalar {
+						return fmt.Errorf("core: non-simulation machine %d received records", id)
+					}
 				}
 				return nil
 			}
-			sc := &scratch[id]
+			sc := scratch.get()
+			defer scratch.put(sc)
 			li := &sc.li
 			li.Reset()
 			nV, nE := 0, 0
@@ -553,7 +696,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 				return err
 			}
 			localEdgeCount[id] = int64(len(li.Edges))
-			freeze := RunLocalSim(li, mMach, iters, eps, biasCoeff, p.BiasGrowth, threshold, &sc.sim)
+			freeze := RunLocalSim(li, machines, iters, eps, biasCoeff, p.BiasGrowth, threshold, &sc.sim)
 			// Stage the freeze results per home machine, reusing the scatter
 			// counters/buffers (count → Reserve → Alloc → fill, as above).
 			rCnt, rBuf := sc.vCnt, sc.vBuf
@@ -590,11 +733,11 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: phase %d local simulation: %w", phase, err)
+			return nil, 0, false, fmt.Errorf("core: phase %d local simulation: %w", phase, err)
 		}
 
-		// Round C (collect): home machines record the freeze iteration of
-		// their vertices. Writes are disjoint by construction (one home per
+		// Collect: home machines record the freeze iteration of their
+		// vertices. Writes are disjoint by construction (one home per
 		// vertex), so the shared slice is race-free.
 		for _, v := range highList {
 			freezeIterShared[v] = noFreeze
@@ -620,34 +763,13 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: phase %d collect: %w", phase, err)
+			return nil, 0, false, fmt.Errorf("core: phase %d collect: %w", phase, err)
 		}
 
 		// Optional coupling capture — must happen before Line (2h) rescales
 		// xPhase in place.
 		if p.CollectCoupling {
-			cp := CouplingPhase{
-				Phase:      phase,
-				Machines:   mMach,
-				Iterations: iters,
-				High:       append([]graph.Vertex(nil), highList...),
-			}
-			cp.ResidualWeight = make([]float64, len(highList))
-			cp.MachineOf = make([]int, len(highList))
-			cp.FreezeIter = make([]int, len(highList))
-			for i, v := range highList {
-				cp.ResidualWeight[i] = wres[v]
-				cp.MachineOf[i] = int(machineOf[v])
-				cp.FreezeIter[i] = int(freezeIterShared[v])
-			}
-			cp.Edges = make([][2]int32, len(highEdges))
-			cp.X0 = make([]float64, len(highEdges))
-			for i, e := range highEdges {
-				u, v := epFlat[2*e], epFlat[2*e+1]
-				cp.Edges[i] = [2]int32{highIndex[u], highIndex[v]}
-				cp.X0[i] = xPhase[e]
-			}
-			res.Coupling = append(res.Coupling, cp)
+			res.Coupling = append(res.Coupling, captureCoupling(phase, machines, iters, highList, highEdges, epFlat, wres, machineOf, freezeIterShared, xPhase))
 		}
 
 		// Line (2h): every edge of E[V^high] gets the weight implied by the
@@ -667,13 +789,21 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			}
 			return iters
 		}
+		// The Line (2i) per-vertex sums accumulate in the same walk that
+		// applies the (2h) growth factors.
+		for _, v := range highList {
+			yMPC[v] = 0
+		}
 		for _, e := range highEdges {
 			u, v := epFlat[2*e], epFlat[2*e+1]
 			t := fiOf(u)
 			if tv := fiOf(v); tv < t {
 				t = tv
 			}
-			xPhase[e] *= pow[t]
+			x := xPhase[e] * pow[t]
+			xPhase[e] = x
+			yMPC[u] += x
+			yMPC[v] += x
 		}
 
 		// Freeze set 1: vertices frozen by their local simulation.
@@ -688,14 +818,6 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		// Line (2i): vertices whose incident E[V^high] weight already
 		// exceeds their residual weight freeze too, so residuals stay
 		// nonnegative in later phases.
-		for _, v := range highList {
-			yMPC[v] = 0
-		}
-		for _, e := range highEdges {
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			yMPC[u] += xPhase[e]
-			yMPC[v] += xPhase[e]
-		}
 		frozenAt2i := 0
 		for _, v := range highList {
 			if freezeIterShared[v] < 0 && yMPC[v] >= wres[v]*(1-1e-12) {
@@ -708,40 +830,20 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		}
 
 		// Finalize edges: E[V^high] edges with a frozen endpoint keep their
-		// Line (2h) weight; Line (2j) freezes V^inactive-side edges at 0.
+		// Line (2h) weight; Line (2j) freezes the rest of a frozen vertex's
+		// edges at 0. Each freeze keeps Line (2k)'s residual degrees and
+		// nonfrozen count current.
 		for _, e := range highEdges {
 			u, v := epFlat[2*e], epFlat[2*e+1]
 			if frozen[u] || frozen[v] {
-				edgeFrozen[e] = true
-				xFinal[e] = xPhase[e]
 				frozenIncident[u] += xPhase[e]
 				frozenIncident[v] += xPhase[e]
 				dualSum += xPhase[e]
+				freezeEdge(int(e), xPhase[e])
 			}
 		}
 		for _, v := range newlyFrozen {
-			for _, e := range g.IncidentEdges(v) {
-				if !edgeFrozen[e] {
-					edgeFrozen[e] = true
-					xFinal[e] = 0
-				}
-			}
-		}
-
-		// Line (2k): recompute residual degrees and the nonfrozen edge count.
-		edgesBefore := nonfrozenEdges
-		for v := 0; v < n; v++ {
-			resDeg[v] = 0
-		}
-		nonfrozenEdges = 0
-		for e := 0; e < mEdges; e++ {
-			if edgeFrozen[e] {
-				continue
-			}
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			resDeg[u]++
-			resDeg[v]++
-			nonfrozenEdges++
+			freezeRest(v)
 		}
 
 		if float64(nonfrozenEdges) > 0.99*float64(edgesBefore) {
@@ -763,7 +865,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			NumNonfrozen:        numNonfrozen,
 			NumHigh:             len(highList),
 			NumInactive:         numInactive,
-			Machines:            mMach,
+			Machines:            machines,
 			Iterations:          iters,
 			MaxMachineEdges:     int(maxLocalEdges),
 			TotalMachineEdges:   totalLocalEdges,
@@ -774,16 +876,22 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			NewlyFrozenVertices: frozenAtSim + frozenAt2i,
 			FrozenAtLine2i:      frozenAt2i,
 		})
-		solver.Emit(obs, solver.Event{
+		end := solver.Event{
 			Kind:        solver.KindPhaseEnd,
 			Phase:       phase,
 			Round:       cluster.Metrics().Rounds,
 			ActiveEdges: nonfrozenEdges,
 			DualBound:   dualSum,
 			Degree:      d,
-			Machines:    mMach,
+			Machines:    machines,
 			Iterations:  iters,
-		})
+		}
+		if plan.compressed {
+			compressed := end
+			compressed.Kind = solver.KindCompress
+			solver.Emit(obs, compressed)
+		}
+		solver.Emit(obs, end)
 	}
 	curPhase = -1
 	res.Phases = phase
@@ -807,12 +915,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		wresAll[v] = w
 		numActive++
 	}
-	var finalEdges int64
-	for e := 0; e < mEdges; e++ {
-		if !edgeFrozen[e] {
-			finalEdges++
-		}
-	}
+	finalEdges := nonfrozenEdges
 	res.FinalPhaseEdges = finalEdges
 	cluster.ResetResident()
 	err = step(func(mach *mpc.Machine) error {
@@ -822,7 +925,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: final gather: %w", err)
+		return nil, 0, false, fmt.Errorf("core: final gather: %w", err)
 	}
 
 	finalInit := centralized.InitDegreeAware
@@ -844,7 +947,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 		centralized.Options{Epsilon: eps, Init: finalInit, Threshold: finalThreshold},
 	)
 	if err != nil {
-		return nil, fmt.Errorf("core: final centralized phase: %w", err)
+		return nil, 0, false, fmt.Errorf("core: final centralized phase: %w", err)
 	}
 	res.FinalPhaseIterations = cres.Iterations
 	// The LOCAL algorithm runs inside one machine, so its iterations cost no
@@ -871,10 +974,80 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 
 	res.ClusterMetrics = cluster.Metrics()
 	res.Rounds = res.ClusterMetrics.Rounds
-	sortPhaseStats(res.PhaseStats)
-	return res, nil
+	return res, splits, false, nil
 }
 
-func sortPhaseStats(ps []PhaseStat) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Phase < ps[j].Phase })
+// partition draws the machine of every V^high vertex and prices each
+// machine's vertex records into words[:machines]. The native plan draws
+// once per phase with labelPartition; the compressed plan draws with
+// labelGroup and the split attempt.
+func (plan roundPlan) partition(seed uint64, phase, attempt, machines int, highList []graph.Vertex, machineOf []int32, words []int64) {
+	clear(words[:machines])
+	if plan.compressed {
+		for _, v := range highList {
+			m := int32(rng.ChooseAt(seed, machines, labelGroup, uint64(phase), uint64(attempt), uint64(v)))
+			machineOf[v] = m
+			words[m] += mpc.VertexRecordWords
+		}
+		return
+	}
+	for _, v := range highList {
+		m := int32(rng.ChooseAt(seed, machines, labelPartition, uint64(phase), uint64(v)))
+		machineOf[v] = m
+		words[m] += mpc.VertexRecordWords
+	}
+}
+
+// sumDegreeReports is machine 0's side of the degree aggregate: it sums
+// the nonfrozen-edge counts of all `fleet` home machines and checks the
+// total against the driver's own count.
+func sumDegreeReports(inbox []mpc.Message, fleet int, want int64) (uint64, error) {
+	total := uint64(0)
+	seen := 0
+	for _, msg := range inbox {
+		if len(msg.Data) == 2 && msg.Data[0] == tagScalar {
+			total += msg.Data[1]
+			seen++
+		}
+	}
+	if seen != fleet {
+		return 0, fmt.Errorf("core: machine 0 received %d degree reports, want %d", seen, fleet)
+	}
+	if total != uint64(want) {
+		return 0, fmt.Errorf("core: aggregated %d nonfrozen edges, driver has %d", total, want)
+	}
+	return total, nil
+}
+
+// captureCoupling copies one phase's partition, initial duals and freeze
+// iterations for the Lemma 4.6 replay (AnalyzeCoupling).
+func captureCoupling(phase, machines, iters int, highList []graph.Vertex, highEdges []int32, epFlat []graph.Vertex,
+	wres []float64, machineOf, freezeIter []int32, xPhase []float64) CouplingPhase {
+	cp := CouplingPhase{
+		Phase:          phase,
+		Machines:       machines,
+		Iterations:     iters,
+		High:           append([]graph.Vertex(nil), highList...),
+		ResidualWeight: make([]float64, len(highList)),
+		MachineOf:      make([]int, len(highList)),
+		FreezeIter:     make([]int, len(highList)),
+		Edges:          make([][2]int32, len(highEdges)),
+		X0:             make([]float64, len(highEdges)),
+	}
+	for i, v := range highList {
+		cp.ResidualWeight[i] = wres[v]
+		cp.MachineOf[i] = int(machineOf[v])
+		cp.FreezeIter[i] = int(freezeIter[v])
+	}
+	// highList is ascending, so an endpoint's index is a binary search.
+	indexOf := func(v graph.Vertex) int32 {
+		i, _ := slices.BinarySearch(highList, v)
+		return int32(i)
+	}
+	for i, e := range highEdges {
+		u, v := epFlat[2*e], epFlat[2*e+1]
+		cp.Edges[i] = [2]int32{indexOf(u), indexOf(v)}
+		cp.X0[i] = xPhase[e]
+	}
+	return cp
 }

@@ -11,9 +11,8 @@ import (
 // subgraph induced by its partition class V_i, with residual weights and
 // initial duals computed at the phase start. Instances are reused across
 // phases (see Reset), so a machine's decode buffers are allocated once and
-// recycled. The round-compressed solver (internal/compress) builds the same
-// instances from its sampled vertex groups, which is why the type and
-// RunLocalSim are exported.
+// recycled. Both round plans of the phase driver build these instances,
+// from the native partition or from the compressed plan's sampled groups.
 type LocalInstance struct {
 	// VertexIDs holds the global ids of the machine's vertices; all other
 	// slices are indexed by position in this list.

@@ -20,6 +20,12 @@
 // When the average residual degree drops below the switch-over threshold,
 // the remaining Õ(n)-edge instance is solved on one machine by the
 // centralized algorithm (package centralized).
+//
+// One phase driver implements all of this for both MPC solvers. Run
+// executes it on the native round plan (five accounted cluster rounds per
+// phase); RunCompressed executes it on the round-compressed plan (three;
+// see package compress). The plans differ only in how the partition is
+// drawn, where the degree aggregate travels, and which events they emit.
 package core
 
 import (
@@ -69,7 +75,7 @@ type Params struct {
 	// MemoryWords returns S, the per-machine memory budget in words, for a
 	// graph with n vertices (paper: Õ(n)).
 	MemoryWords func(n int) int64
-	// MaxPhases caps the phase loop as a safety net (0 = 10·log₂log₂n + 20).
+	// MaxPhases caps the phase loop as a safety net (0 = 64).
 	MaxPhases int
 	// Parallelism bounds concurrent machine execution (0 = GOMAXPROCS).
 	Parallelism int
