@@ -12,8 +12,13 @@
 // Frozen vertices form the cover; weak LP duality (Lemma 3.2) certifies the
 // (2+O(ε)) ratio (Proposition 3.3).
 //
+// An iteration costs O(active vertices + active edges): both steps walk
+// ascending worklists of the active elements, compacted as they freeze,
+// instead of scanning the whole instance behind the active mask.
+//
 // The same code serves four roles in this repository: the paper's final
-// "solve the remainder on one machine" phase (Algorithm 2 Line 3); the
+// "solve the remainder on one machine" phase (Algorithm 2 Line 3, which
+// core runs on the residual compacted into a graph of its own); the
 // centralized reference run that the MPC simulation is coupled against in
 // the Lemma 4.6 experiments; the O(log Δ) / O(log nW) LOCAL baselines
 // (one iteration = one round); and the approximation-quality workhorse for
@@ -25,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -129,7 +135,7 @@ type Result struct {
 	FreezeIter []int
 	// EdgeFreezeIter[e] is the iteration at which e froze, or -1 (only
 	// possible for edges with an inactive endpoint, which never participate).
-	EdgeFreezeIter []int
+	EdgeFreezeIter []int32
 	// Iterations is the number of executed iterations of the main loop
 	// (equivalently: rounds when the algorithm is read as a LOCAL/PRAM
 	// baseline, one iteration per communication round).
@@ -197,6 +203,11 @@ func DeriveX0(inst Instance, policy InitPolicy) ([]float64, error) {
 
 // Run executes Algorithm 1 on the instance. The context is checked once per
 // iteration; cancellation ends the run with ctx.Err().
+//
+// The freeze test and the growth step walk ascending worklists of the
+// active vertices and edges, compacted in place (order kept) after every
+// iteration that freezes something. They visit elements in the order a
+// full scan would, so the floating-point operations are those of a scan.
 func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	g := inst.G
 	if g == nil {
@@ -209,37 +220,40 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("centralized: epsilon %v out of (0, 0.125]", opts.Epsilon)
 	}
 	n, m := g.NumVertices(), g.NumEdges()
-	active := make([]bool, n)
-	if inst.Active == nil {
-		for v := range active {
-			active[v] = true
-		}
-	} else {
-		if len(inst.Active) != n {
-			return nil, fmt.Errorf("centralized: active mask length %d, want %d", len(inst.Active), n)
-		}
-		copy(active, inst.Active)
+	if inst.Active != nil && len(inst.Active) != n {
+		return nil, fmt.Errorf("centralized: active mask length %d, want %d", len(inst.Active), n)
 	}
+	isActive := func(v graph.Vertex) bool { return inst.Active == nil || inst.Active[v] }
 	w := inst.Weights
 	if w == nil {
 		w = g.Weights()
 	} else if len(w) != n {
 		return nil, fmt.Errorf("centralized: weight vector length %d, want %d", len(w), n)
 	}
+	numActive := 0
 	for v := 0; v < n; v++ {
-		if active[v] && !(w[v] > 0) {
+		if !isActive(graph.Vertex(v)) {
+			continue
+		}
+		numActive++
+		if !(w[v] > 0) {
 			return nil, fmt.Errorf("centralized: active vertex %d has non-positive weight %v", v, w[v])
 		}
 	}
 
-	x0 := inst.X0
-	if x0 == nil {
+	// x holds the current duals. A derived X0 is owned by the run and
+	// becomes x itself (DeriveX0 leaves inactive edges at 0); a caller's X0
+	// is copied on its active edges and never written.
+	var x []float64
+	if inst.X0 == nil {
 		var err error
-		if x0, err = DeriveX0(Instance{G: g, Active: active, Weights: w}, opts.Init); err != nil {
+		if x, err = DeriveX0(Instance{G: g, Active: inst.Active, Weights: w}, opts.Init); err != nil {
 			return nil, err
 		}
-	} else if len(x0) != m {
-		return nil, fmt.Errorf("centralized: X0 length %d, want %d", len(x0), m)
+	} else if len(inst.X0) != m {
+		return nil, fmt.Errorf("centralized: X0 length %d, want %d", len(inst.X0), m)
+	} else {
+		x = make([]float64, m)
 	}
 
 	threshold := opts.Threshold
@@ -252,34 +266,47 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	// Edge activity and the incremental incident sums.
 	// yActive[v] = Σ over active incident edges of the *current* x_e;
 	// yFrozen[v] = Σ over frozen incident edges of their final x_e.
-	x := make([]float64, m)
 	edgeActive := make([]bool, m)
-	edgeFreeze := make([]int, m)
+	edgeFreeze := make([]int32, m)
 	yActive := make([]float64, n)
 	yFrozen := make([]float64, n)
+	ep := g.EdgeEndpoints()
 	activeEdges := 0
 	maxRatio := 1.0
 	for e := 0; e < m; e++ {
 		edgeFreeze[e] = -1
-		u, v := g.Edge(graph.EdgeID(e))
-		if !active[u] || !active[v] {
+		u, v := ep[2*e], ep[2*e+1]
+		if !isActive(u) || !isActive(v) {
 			continue
 		}
-		if !(x0[e] > 0) {
-			return nil, fmt.Errorf("centralized: initial x[%d] = %v, want positive", e, x0[e])
+		if inst.X0 != nil {
+			x[e] = inst.X0[e]
 		}
-		x[e] = x0[e]
+		if !(x[e] > 0) {
+			return nil, fmt.Errorf("centralized: initial x[%d] = %v, want positive", e, x[e])
+		}
 		edgeActive[e] = true
 		activeEdges++
-		yActive[u] += x0[e]
-		yActive[v] += x0[e]
-		if r := math.Min(w[u], w[v]) / x0[e]; r > maxRatio {
+		yActive[u] += x[e]
+		yActive[v] += x[e]
+		if r := math.Min(w[u], w[v]) / x[e]; r > maxRatio {
 			maxRatio = r
 		}
 	}
+	// The ascending worklists, each at its exact size.
+	edgeList := make([]graph.EdgeID, 0, activeEdges)
+	for e, on := range edgeActive {
+		if on {
+			edgeList = append(edgeList, graph.EdgeID(e))
+		}
+	}
+	vertexList := make([]graph.Vertex, 0, numActive)
 	for v := 0; v < n; v++ {
-		if active[v] && yActive[v] > w[v]*(1+1e-9) {
-			return nil, fmt.Errorf("centralized: initial matching infeasible at vertex %d: %v > %v", v, yActive[v], w[v])
+		if isActive(graph.Vertex(v)) {
+			if yActive[v] > w[v]*(1+1e-9) {
+				return nil, fmt.Errorf("centralized: initial matching infeasible at vertex %d: %v > %v", v, yActive[v], w[v])
+			}
+			vertexList = append(vertexList, graph.Vertex(v))
 		}
 	}
 
@@ -299,6 +326,7 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	for v := range res.FreezeIter {
 		res.FreezeIter[v] = -1
 	}
+	frozen := res.Cover
 
 	// frozenDualSum tracks Σ x_e over frozen (finalized) edges for observer
 	// events; it is the raw dual total the certificate later builds on.
@@ -317,23 +345,18 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		}
 		res.ActiveEdgesPerIter = append(res.ActiveEdgesPerIter, activeEdges)
 		if opts.RecordTrace {
-			snap := make([]float64, n)
-			for v := 0; v < n; v++ {
-				snap[v] = yActive[v] + yFrozen[v]
-			}
-			res.YTrace = append(res.YTrace, snap)
+			res.YTrace = append(res.YTrace, ySnapshot(yActive, yFrozen))
 		}
 
 		// Line (4a): simultaneous freeze test against start-of-iteration y.
 		freezeList = freezeList[:0]
-		for v := 0; v < n; v++ {
-			if active[v] && yActive[v]+yFrozen[v] >= threshold(graph.Vertex(v), t)*w[v] {
-				freezeList = append(freezeList, graph.Vertex(v))
+		for _, v := range vertexList {
+			if yActive[v]+yFrozen[v] >= threshold(v, t)*w[v] {
+				freezeList = append(freezeList, v)
 			}
 		}
 		for _, v := range freezeList {
-			active[v] = false
-			res.Cover[v] = true
+			frozen[v] = true
 			res.FreezeIter[v] = t
 		}
 		for _, v := range freezeList {
@@ -343,7 +366,7 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 					continue
 				}
 				edgeActive[e] = false
-				edgeFreeze[e] = t
+				edgeFreeze[e] = int32(t)
 				activeEdges--
 				frozenDualSum += x[e]
 				u := g.Other(e, v)
@@ -355,18 +378,18 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 				yFrozen[v] += x[e]
 			}
 		}
+		if len(freezeList) > 0 {
+			vertexList = slices.DeleteFunc(vertexList, func(v graph.Vertex) bool { return frozen[v] })
+			edgeList = slices.DeleteFunc(edgeList, func(e graph.EdgeID) bool { return !edgeActive[e] })
+		}
 
 		// Lines (4b)/(4c): active edges grow by 1/(1−ε); frozen stay.
 		if activeEdges > 0 {
-			for e := 0; e < m; e++ {
-				if edgeActive[e] {
-					x[e] *= growth
-				}
+			for _, e := range edgeList {
+				x[e] *= growth
 			}
-			for v := 0; v < n; v++ {
-				if active[v] {
-					yActive[v] *= growth
-				}
+			for _, v := range vertexList {
+				yActive[v] *= growth
 			}
 		}
 		solver.Emit(opts.Observer, solver.Event{
@@ -381,13 +404,18 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		// One extra snapshot so YTrace[t] is defined for t = Iterations as
 		// well (the state after the last growth step), which the Lemma 4.6
 		// coupling compares against.
-		snap := make([]float64, n)
-		for v := 0; v < n; v++ {
-			snap[v] = yActive[v] + yFrozen[v]
-		}
-		res.YTrace = append(res.YTrace, snap)
+		res.YTrace = append(res.YTrace, ySnapshot(yActive, yFrozen))
 	}
 	res.Iterations = t
 	res.X = x
 	return res, nil
+}
+
+// ySnapshot returns y_v = yActive[v] + yFrozen[v] for every vertex.
+func ySnapshot(yActive, yFrozen []float64) []float64 {
+	snap := make([]float64, len(yActive))
+	for v := range snap {
+		snap[v] = yActive[v] + yFrozen[v]
+	}
+	return snap
 }

@@ -359,7 +359,7 @@ func TestFreezeIterConsistency(t *testing.T) {
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		u, v := g.Edge(graph.EdgeID(e))
-		fe := res.EdgeFreezeIter[e]
+		fe := int(res.EdgeFreezeIter[e])
 		if fe < 0 {
 			t.Fatalf("edge %d never froze", e)
 		}

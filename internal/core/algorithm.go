@@ -374,15 +374,26 @@ func run(ctx context.Context, g *graph.Graph, p Params, plan roundPlan) (*Result
 		plan.partition(p.Seed, phase, 0, machines, highList, machineOf, machineWords)
 
 		// Line (2c): initial duals on E[V^high] (degree-aware, or the
-		// uniform-init ablation).
+		// uniform-init ablation). The degree-aware ratios w′(v)/d(v) are
+		// computed once per vertex into yMPC, which is free until Line (2h)
+		// resets it. E[V^high] never outgrows the nonfrozen edges, so
+		// highEdges is sized once, at the first phase.
+		if highEdges == nil {
+			highEdges = make([]int32, 0, nonfrozenEdges)
+		}
 		highEdges = highEdges[:0]
 		uniformBase := 0.0
+		ratio := yMPC
 		if p.UniformInit {
 			wmin := math.Inf(1)
 			for _, v := range highList {
 				wmin = math.Min(wmin, wres[v])
 			}
 			uniformBase = wmin / float64(n)
+		} else {
+			for _, v := range highList {
+				ratio[v] = wres[v] / float64(resDeg[v])
+			}
 		}
 		for e := 0; e < mEdges; e++ {
 			if edgeFrozen[e] {
@@ -396,7 +407,7 @@ func run(ctx context.Context, g *graph.Graph, p Params, plan roundPlan) (*Result
 			if p.UniformInit {
 				xPhase[e] = uniformBase
 			} else {
-				xPhase[e] = math.Min(wres[u]/float64(resDeg[u]), wres[v]/float64(resDeg[v]))
+				xPhase[e] = math.Min(ratio[u], ratio[v])
 			}
 			if machineOf[u] == machineOf[v] {
 				machineWords[machineOf[u]] += mpc.EdgeRecordWords
@@ -898,11 +909,12 @@ func run(ctx context.Context, g *graph.Graph, p Params, plan roundPlan) (*Result
 
 	// Line (3): the residual instance moves to one machine (the gather is
 	// one more round, and the memory charge enforces that it fits) and the
-	// centralized algorithm finishes it.
-	active := make([]bool, n)
-	wresAll := make([]float64, n)
+	// centralized algorithm finishes it. The phase scratch high and wres
+	// are free now and hold the active mask and residual weights.
+	active, wresAll := high, wres
 	numActive := 0
 	for v := 0; v < n; v++ {
+		active[v] = false
 		if frozen[v] {
 			continue
 		}
@@ -928,53 +940,137 @@ func run(ctx context.Context, g *graph.Graph, p Params, plan roundPlan) (*Result
 		return nil, 0, false, fmt.Errorf("core: final gather: %w", err)
 	}
 
-	finalInit := centralized.InitDegreeAware
-	if p.UniformInit {
-		finalInit = centralized.InitUniform
-	}
-	var finalThreshold centralized.ThresholdFunc
-	if p.FixedThresholds {
-		finalThreshold = centralized.FixedThreshold(eps)
-	} else {
-		lo, hi := 1-4*eps, 1-2*eps
-		fp := uint64(phase)
-		finalThreshold = func(v graph.Vertex, t int) float64 {
-			return rng.UniformAt(p.Seed, lo, hi, labelThreshold, fp, uint64(v), uint64(t))
-		}
-	}
-	cres, err := centralized.Run(ctx,
-		centralized.Instance{G: g, Active: active, Weights: wresAll},
-		centralized.Options{Epsilon: eps, Init: finalInit, Threshold: finalThreshold},
-	)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("core: final centralized phase: %w", err)
-	}
-	res.FinalPhaseIterations = cres.Iterations
 	// The LOCAL algorithm runs inside one machine, so its iterations cost no
-	// additional communication rounds.
-	for v := 0; v < n; v++ {
-		if cres.Cover[v] {
-			frozen[v] = true
-		}
+	// additional communication rounds. The nonfrozen edges are exactly those
+	// with both endpoints active, so finalPhase hands back each of their
+	// duals, in ascending edge order.
+	finalIters, err := finalPhase(ctx, g, active, wresAll, p, phase, frozen, func(e graph.EdgeID, x float64) {
+		xFinal[e] = x
+		dualSum += x
+	})
+	if err != nil {
+		return nil, 0, false, err
 	}
-	for e := 0; e < mEdges; e++ {
-		if !edgeFrozen[e] {
-			edgeFrozen[e] = true
-			xFinal[e] = cres.X[e]
-			dualSum += cres.X[e]
-		}
-	}
+	res.FinalPhaseIterations = finalIters
 	solver.Emit(obs, solver.Event{
 		Kind:       solver.KindFinalPhase,
 		Phase:      -1,
 		Round:      cluster.Metrics().Rounds,
 		DualBound:  dualSum,
-		Iterations: cres.Iterations,
+		Iterations: finalIters,
 	})
 
 	res.ClusterMetrics = cluster.Metrics()
 	res.Rounds = res.ClusterMetrics.Rounds
 	return res, splits, false, nil
+}
+
+// finalPhase runs Line (3): Algorithm 1 on the residual instance, i.e. the
+// vertices with active[v] (residual weights wres[v]) and the edges of g
+// with both endpoints active, with the thresholds of the phase after the
+// last sampled one. It sets cover[v] for every vertex the run freezes,
+// calls final(e, x_e) for every residual edge in ascending edge order, and
+// returns the iteration count.
+//
+// When some vertex is inactive the run sees only the residual, compacted
+// by a monotone relabelling: active vertices are numbered in ascending
+// order, so the residual's lexicographic edge ids keep g's edge order and
+// its sorted adjacency rows keep g's row order. Algorithm 1 then performs
+// the same floating-point operations in the same order as on g behind the
+// active mask. The copy costs O(n + Σ_{v active} d(v)) once, and each
+// iteration costs O(residual) instead of O(n + m).
+func finalPhase(ctx context.Context, g *graph.Graph, active []bool, wres []float64, p Params, phase int, cover []bool, final func(e graph.EdgeID, x float64)) (int, error) {
+	eps := p.Epsilon
+	opts := centralized.Options{Epsilon: eps, Init: centralized.InitDegreeAware}
+	if p.UniformInit {
+		opts.Init = centralized.InitUniform
+	}
+	var toOrig []graph.Vertex
+	if p.FixedThresholds {
+		opts.Threshold = centralized.FixedThreshold(eps)
+	} else {
+		lo, hi := 1-4*eps, 1-2*eps
+		fp := uint64(phase)
+		opts.Threshold = func(v graph.Vertex, t int) float64 {
+			if toOrig != nil {
+				v = toOrig[v]
+			}
+			return rng.UniformAt(p.Seed, lo, hi, labelThreshold, fp, uint64(v), uint64(t))
+		}
+	}
+
+	n := g.NumVertices()
+	numActive := 0
+	for _, a := range active {
+		if a {
+			numActive++
+		}
+	}
+	// Nothing has frozen: the residual is g itself, and toOrig and
+	// resEdges stay nil (the identity).
+	inst := centralized.Instance{G: g, Weights: wres}
+	var resEdges []graph.EdgeID
+	if numActive < n {
+		localOf := make([]graph.Vertex, n)
+		weights := make([]float64, numActive)
+		toOrig = make([]graph.Vertex, 0, numActive)
+		for v, a := range active {
+			if a {
+				localOf[v] = graph.Vertex(len(toOrig))
+				weights[len(toOrig)] = wres[v]
+				toOrig = append(toOrig, graph.Vertex(v))
+			}
+		}
+		// Edge ids are lexicographic in (min, max) endpoint and adjacency
+		// rows are sorted, so walking the active rows upward collects the
+		// residual edges in ascending id order.
+		var local [][2]graph.Vertex
+		for i, u := range toOrig {
+			ids := g.IncidentEdges(u)
+			for j, v := range g.Neighbors(u) {
+				if v > u && active[v] {
+					resEdges = append(resEdges, ids[j])
+					local = append(local, [2]graph.Vertex{graph.Vertex(i), localOf[v]})
+				}
+			}
+		}
+		rg, err := graph.FromEdgeList(numActive, local, weights)
+		if err != nil {
+			return 0, fmt.Errorf("core: final phase residual: %w", err)
+		}
+		inst = centralized.Instance{G: rg}
+		if p.UniformInit && len(resEdges) > 0 {
+			// InitUniform's base is w_min/n for the input's n, not the
+			// residual's vertex count.
+			base := slices.Min(weights) / float64(n)
+			inst.X0 = make([]float64, len(resEdges))
+			for i := range inst.X0 {
+				inst.X0[i] = base
+			}
+		}
+	}
+	cres, err := centralized.Run(ctx, inst, opts)
+	if err != nil {
+		return 0, fmt.Errorf("core: final centralized phase: %w", err)
+	}
+	for i, c := range cres.Cover {
+		if !c {
+			continue
+		}
+		v := graph.Vertex(i)
+		if toOrig != nil {
+			v = toOrig[i]
+		}
+		cover[v] = true
+	}
+	for i, x := range cres.X {
+		e := graph.EdgeID(i)
+		if resEdges != nil {
+			e = resEdges[i]
+		}
+		final(e, x)
+	}
+	return cres.Iterations, nil
 }
 
 // partition draws the machine of every V^high vertex and prices each

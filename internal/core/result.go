@@ -99,13 +99,7 @@ type Result struct {
 // proves alpha ≤ 1+6ε w.h.p.; experiments record the measured value.
 func (r *Result) FeasibleDual(g *graph.Graph) (scaled []float64, alpha float64) {
 	alpha = 1.0
-	incident := make([]float64, g.NumVertices())
-	ep := g.EdgeEndpoints()
-	for e := 0; e < g.NumEdges(); e++ {
-		u, v := ep[2*e], ep[2*e+1]
-		incident[u] += r.X[e]
-		incident[v] += r.X[e]
-	}
+	incident := incidentSums(g, r.X)
 	for v := 0; v < g.NumVertices(); v++ {
 		if w := g.Weight(graph.Vertex(v)); w > 0 {
 			if f := incident[v] / w; f > alpha {
@@ -126,13 +120,7 @@ func (r *Result) FeasibleDual(g *graph.Graph) (scaled []float64, alpha float64) 
 // is what makes the cover weight chargeable to the dual. Returns +Inf for an
 // empty cover.
 func (r *Result) CoverTightness(g *graph.Graph) float64 {
-	incident := make([]float64, g.NumVertices())
-	ep := g.EdgeEndpoints()
-	for e := 0; e < g.NumEdges(); e++ {
-		u, v := ep[2*e], ep[2*e+1]
-		incident[u] += r.X[e]
-		incident[v] += r.X[e]
-	}
+	incident := incidentSums(g, r.X)
 	minTight := math.Inf(1)
 	for v := 0; v < g.NumVertices(); v++ {
 		if r.Cover[v] {
@@ -142,4 +130,17 @@ func (r *Result) CoverTightness(g *graph.Graph) float64 {
 		}
 	}
 	return minTight
+}
+
+// incidentSums returns Σ_{e∋v} x_e for every vertex, accumulated in
+// ascending edge order.
+func incidentSums(g *graph.Graph, x []float64) []float64 {
+	incident := make([]float64, g.NumVertices())
+	ep := g.EdgeEndpoints()
+	for e := 0; e < g.NumEdges(); e++ {
+		u, v := ep[2*e], ep[2*e+1]
+		incident[u] += x[e]
+		incident[v] += x[e]
+	}
+	return incident
 }
