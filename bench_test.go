@@ -2,9 +2,9 @@ package mwvc_test
 
 // The benchmark harness exposes every experiment from internal/experiments
 // as a testing.B target (one per table/claim of the paper — see DESIGN.md's
-// per-experiment index) plus per-algorithm micro-benchmarks. The experiment
-// benches run the quick configuration; the full tables in EXPERIMENTS.md
-// come from `go run ./cmd/mwvc-bench`.
+// "Experiment index") plus per-algorithm micro-benchmarks. The experiment
+// benches run the quick configuration; the full-size tables come from
+// `make tables` (`go run ./cmd/mwvc-bench`).
 
 import (
 	"context"
@@ -54,12 +54,16 @@ func benchGraph(n int, d float64) *graph.Graph {
 	return gen.ApplyWeights(gen.GnpAvgDegree(1, n, d), 2, gen.UniformRange{Lo: 1, Hi: 100})
 }
 
+// benchShapes is the MPC workload matrix: BenchmarkAlgorithmMPC times it
+// and TestBenchFacts pins its rounds, words and certificates.
+var benchShapes = []struct {
+	name string
+	n    int
+	d    float64
+}{{"n4k_d32", 4000, 32}, {"n16k_d64", 16000, 64}, {"n16k_d256", 16000, 256}}
+
 func BenchmarkAlgorithmMPC(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		n    int
-		d    float64
-	}{{"n4k_d32", 4000, 32}, {"n16k_d64", 16000, 64}, {"n16k_d256", 16000, 256}} {
+	for _, size := range benchShapes {
 		b.Run(size.name, func(b *testing.B) {
 			g := benchGraph(size.n, size.d)
 			b.ResetTimer()

@@ -232,14 +232,25 @@ func TestMachineMemoryWithinBudget(t *testing.T) {
 
 func TestCoverTightness(t *testing.T) {
 	// Theorem 4.7's other half: cover vertices have Σx ≥ (1−16ε)·w(v).
+	// At ε=0.1 that bound is −0.6 and cannot fail, so the test also pins a
+	// floor just below the value this instance measures (0.3735). How far
+	// that sits from a tight cover is a measured deviation from Theorem 4.7,
+	// recorded in DESIGN.md "Constant-scaling"; a change that loosens the
+	// cover further fails here.
 	eps := 0.1
 	g := gen.ApplyWeights(gen.GnpAvgDegree(14, 2000, 60), 4, gen.UniformRange{Lo: 1, Hi: 20})
 	res, err := Run(context.Background(), g, ParamsPractical(eps, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight := res.CoverTightness(g); tight < 1-16*eps-1e-9 {
+	tight := res.CoverTightness(g)
+	t.Logf("cover tightness %.4f", tight)
+	if tight < 1-16*eps-1e-9 {
 		t.Fatalf("cover tightness %v below 1−16ε = %v", tight, 1-16*eps)
+	}
+	const floor = 0.37
+	if tight < floor {
+		t.Fatalf("cover tightness %v below the measured floor %v", tight, floor)
 	}
 }
 

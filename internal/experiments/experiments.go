@@ -1,9 +1,10 @@
 // Package experiments contains the evaluation harness. The paper is a
 // theory paper — it proves claims instead of tabulating measurements — so
 // every theorem and lemma of its analysis becomes a registered experiment
-// that regenerates a table. EXPERIMENTS.md records paper-claim vs measured
-// for each; `cmd/mwvc-bench` reruns any or all of them, and the root
-// bench_test.go exposes each as a testing.B benchmark.
+// that regenerates a table. DESIGN.md's "Experiment index" maps each one to
+// its claim; `cmd/mwvc-bench` reruns any or all of them (`make tables` for
+// the full-size tables), and the root bench_test.go exposes each as a
+// testing.B benchmark.
 package experiments
 
 import (
@@ -15,8 +16,8 @@ import (
 // Config controls an experiment run.
 type Config struct {
 	// Quick shrinks instance sizes so the whole suite finishes in seconds —
-	// used by unit tests and the bench harness's default mode. Full-size
-	// runs are what EXPERIMENTS.md records.
+	// used by unit tests and the root bench_test.go benchmarks. Full-size
+	// runs are what `make tables` renders.
 	Quick bool
 	// Seed makes the whole suite reproducible.
 	Seed uint64
